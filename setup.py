@@ -6,13 +6,6 @@ legacy `setup.py develop` path instead.  All metadata lives in
 pyproject.toml.
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
-)
+setup()

@@ -76,9 +76,8 @@ def analyze(
     :mod:`repro.inputs`; a shape neither recognises raises
     :class:`~repro.errors.InputError`.
 
-    *config* tunes thresholds and execution (``workers=4`` parallelises
-    the fleet stage); *executor*/*memo* inject a specific
-    :class:`~repro.exec.Executor` or a shared stage cache — see
+    *config* tunes thresholds and execution; *executor*/*memo* inject a
+    specific :class:`~repro.exec.Executor` or a shared stage cache — see
     ``docs/EXECUTION.md``.  *tracer* (or ``config.trace``) turns on the
     observability subsystem: pass a live :class:`~repro.obs.Tracer` and
     read its spans back after the call — see ``docs/OBSERVABILITY.md``.

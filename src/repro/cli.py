@@ -107,14 +107,6 @@ def _add_threshold_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for the per-satellite fleet stage "
-             "(0/1: serial; >=2: process pool)",
-    )
-    parser.add_argument(
         "--no-stage-cache",
         action="store_true",
         help="disable per-satellite stage memoization",
@@ -133,7 +125,6 @@ def _pipeline_for(args: argparse.Namespace) -> CosmicDance:
     return CosmicDance(
         CosmicDanceConfig(
             strict=getattr(args, "strict", False),
-            workers=getattr(args, "workers", 0),
             cache_stages=not getattr(args, "no_stage_cache", False),
             trace=getattr(args, "trace", False),
         )
@@ -535,8 +526,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             f"no dataset under {args.cache}; run "
             "'cosmicdance simulate --out ...' first"
         )
-    config = CosmicDanceConfig(workers=args.workers)
-    monitor = StreamMonitor(config, store=store, run_every=args.run_every)
+    monitor = StreamMonitor(store=store, run_every=args.run_every)
     chunks = split_feed(dst, catalog, chunk_hours=args.chunk_hours)
     updates = monitor.replay(chunks)
 
@@ -575,9 +565,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.verify_parity:
         from repro import analyze
 
-        batch = result_digest(
-            analyze(dst, catalog, config=CosmicDanceConfig(workers=args.workers))
-        )
+        batch = result_digest(analyze(dst, catalog))
         payload["parity_ok"] = batch == digest
         if batch != digest:
             print(
@@ -842,10 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-every", type=int, default=None, metavar="N",
         help="refresh the analysis every N chunks (default: once, at "
              "end of feed)",
-    )
-    replay.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="worker processes for each analysis refresh",
     )
     replay.add_argument(
         "--verify-parity", action="store_true",

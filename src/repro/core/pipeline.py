@@ -23,9 +23,9 @@ delegates::
 The pipeline is deliberately stage-wise and recomputable: ``run()`` can
 be called again after more data arrives (the incremental-fetch pattern
 of the original tool).  The per-satellite fleet stage (clean → detect →
-assess) runs through a pluggable :class:`~repro.exec.Executor` —
-serial by default, a process pool with ``config.workers >= 2`` — and
-its outcomes are memoized per satellite by content digest
+assess) runs in-process through an :class:`~repro.exec.Executor`
+(:class:`~repro.exec.SerialExecutor` unless one is injected), and its
+outcomes are memoized per satellite by content digest
 (``config.cache_stages``) so a re-run only recomputes satellites whose
 ingested records changed.  See ``docs/EXECUTION.md``.
 """
@@ -70,9 +70,9 @@ from repro.exec import (
     Executor,
     SatelliteOutcome,
     SatelliteTask,
+    SerialExecutor,
     StageMemo,
     config_digest,
-    default_executor,
     history_digest,
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, NullMetrics
@@ -149,10 +149,9 @@ def process_satellite(
 ) -> SatelliteOutcome:
     """The per-satellite work unit: clean → detect → assess.
 
-    Module-level (picklable by reference) so any executor — in-process
-    or a worker pool — can run it.  Detection/assessment go through
-    this module's globals on purpose: the fault-injection seam used by
-    the robustness suite monkeypatches them here.
+    Detection/assessment go through this module's globals on purpose:
+    the fault-injection seam used by the robustness suite monkeypatches
+    them here.
 
     With ``capture=True`` an exception becomes the outcome's ``error``
     fields (the pipeline quarantines the satellite); ``capture=False``
@@ -207,7 +206,7 @@ def process_satellite(
 class CosmicDance:
     """The measurement pipeline (paper §3).
 
-    ``executor`` overrides the one implied by ``config.workers``;
+    ``executor`` overrides the default :class:`~repro.exec.SerialExecutor`;
     ``memo`` overrides the per-instance stage cache (pass a shared
     :class:`~repro.exec.StageMemo` to pool memoization across
     pipelines, or rely on ``config.cache_stages`` for the default);
@@ -231,7 +230,7 @@ class CosmicDance:
         self.config = config or CosmicDanceConfig()
         self.ingest = IngestState()
         self._task_factory = task_factory or satellite_task
-        self.executor: Executor = executor or default_executor(self.config)
+        self.executor: Executor = executor or SerialExecutor()
         if memo is not None:
             self.memo: StageMemo | None = memo
         else:
@@ -549,27 +548,22 @@ class CosmicDance:
         edges: tuple[float, ...] | None = None,
         step_minutes: float = 20.0,
         max_satellites: int | None = None,
-        **deprecated_kwargs,
     ) -> "BandExposure":
         """§6 extension: storm exposure by absolute-latitude band.
 
         Keyword-only: *edges* (absolute-latitude band boundaries [deg];
         default :data:`~repro.core.geography.DEFAULT_BAND_EDGES`),
         *step_minutes* (propagation sampling grid), *max_satellites*
-        (cost cap for large fleets).  The old opaque ``**kwargs``
-        pass-through is deprecated.
+        (cost cap for large fleets).
         """
         from repro.core.geography import DEFAULT_BAND_EDGES, storm_band_exposure
 
-        if deprecated_kwargs:
-            _warn_kwargs_passthrough("band_exposure", deprecated_kwargs)
         return storm_band_exposure(
             self.result.cleaned,
             self.result.storm_episodes,
             edges=edges if edges is not None else DEFAULT_BAND_EDGES,
             step_minutes=step_minutes,
             max_satellites=max_satellites,
-            **deprecated_kwargs,
         )
 
     def conjunctions(
@@ -577,25 +571,20 @@ class CosmicDance:
         *,
         shells: tuple["Shell", ...] | None = None,
         half_width_km: float = 2.5,
-        **deprecated_kwargs,
     ) -> "ConjunctionReport":
         """§6 extension: shell-trespass and conjunction-pressure report.
 
         Keyword-only: *shells* (the slot layout to test against;
         default :data:`~repro.orbits.shells.STARLINK_SHELLS`),
-        *half_width_km* (slot half-width).  The old opaque ``**kwargs``
-        pass-through is deprecated.
+        *half_width_km* (slot half-width).
         """
         from repro.core.conjunction import conjunction_report
         from repro.orbits.shells import STARLINK_SHELLS
 
-        if deprecated_kwargs:
-            _warn_kwargs_passthrough("conjunctions", deprecated_kwargs)
         return conjunction_report(
             self.result.cleaned,
             shells=shells if shells is not None else STARLINK_SHELLS,
             half_width_km=half_width_km,
-            **deprecated_kwargs,
         )
 
     def measurement_campaigns(
@@ -617,15 +606,3 @@ class CosmicDance:
         if threshold_nt is None:
             return list(self.result.storm_episodes)
         return detect_episodes(self.result.dst, threshold_nt)
-
-
-def _warn_kwargs_passthrough(method: str, kwargs: dict) -> None:
-    import warnings
-
-    warnings.warn(
-        f"CosmicDance.{method}() keyword pass-through for "
-        f"{sorted(kwargs)} is deprecated; use the named keyword-only "
-        f"parameters instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -7,11 +7,9 @@ the association step.  This module defines the unit of work
 and the :class:`Executor` protocol that runs a *stage function* over a
 fleet of tasks.
 
-Everything here must survive a process boundary: tasks, outcomes, and
-stage functions are pickled when a :class:`~repro.exec.parallel.
-ParallelExecutor` ships them to worker processes.  Stage functions are
-therefore plain module-level callables (pickled by reference), and
-outcomes carry failures as *strings*, never live exception objects.
+Outcomes carry failures as *strings* (``"ExcType: message"``), never
+live exception objects, so a failed outcome is plain data that the
+pipeline can ledger and the stage cache can refuse to store.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ class SatelliteTask:
 
     @property
     def record_count(self) -> int:
-        """Work-size proxy used for record-count-balanced chunking."""
+        """Number of raw element sets (reported on satellite spans)."""
         return len(self.elements)
 
 
@@ -72,8 +70,7 @@ class SatelliteOutcome:
     report: "CleaningReport | None"
     #: ``"ExcType: message"`` when the stage failed, else None.
     error: str | None = None
-    #: Which sub-stage failed (``clean``/``detect``/``assess``/
-    #: ``executor`` for pool-level losses).
+    #: Which sub-stage failed (``clean``/``detect``/``assess``).
     error_stage: str | None = None
     #: True when this outcome was served from the stage cache.
     from_cache: bool = False
@@ -83,8 +80,7 @@ class SatelliteOutcome:
         return self.error is None
 
 
-#: The per-satellite work unit.  Must be a module-level callable so a
-#: process pool can pickle it by reference.  ``capture=False`` lets the
+#: The per-satellite work unit.  ``capture=False`` lets the
 #: first exception propagate (strict mode); ``capture=True`` folds it
 #: into the outcome's ``error`` fields.
 StageFn = Callable[..., SatelliteOutcome]
@@ -106,8 +102,8 @@ class Executor(Protocol):
     tracers must cost nothing.
     """
 
-    #: Short human-readable name (``serial``, ``parallel``), used in
-    #: logs and health reports.
+    #: Short human-readable name (``serial``), used in logs and the
+    #: ``run`` span.
     name: str
 
     def run_fleet(
@@ -129,11 +125,11 @@ def outcome_span_attrs(
 ) -> dict[str, Any]:
     """The canonical span attributes for one executed satellite.
 
-    Shared by every executor (and the worker-side chunk runner) so the
-    trace schema is identical whether the stage ran in-process or in a
-    pool worker: catalog number, record count, ``cache="miss"`` (cache
-    hits never reach an executor; the pipeline spans those itself),
-    and — on failure — the quarantine stage and reason.
+    Shared by every executor so the trace schema does not depend on
+    which one ran the stage: catalog number, record count,
+    ``cache="miss"`` (cache hits never reach an executor; the pipeline
+    spans those itself), and — on failure — the quarantine stage and
+    reason.
     """
     attrs: dict[str, Any] = {
         "catalog_number": task.catalog_number,
@@ -146,19 +142,3 @@ def outcome_span_attrs(
         attrs["reason"] = outcome.error
     return attrs
 
-
-def failure_outcome(
-    task: SatelliteTask, stage: str, error: BaseException | str
-) -> SatelliteOutcome:
-    """An outcome recording that *task* was lost to *error* at *stage*."""
-    if isinstance(error, BaseException):
-        error = f"{type(error).__name__}: {error}"
-    return SatelliteOutcome(
-        catalog_number=task.catalog_number,
-        cleaned=None,
-        events=(),
-        assessment=None,
-        report=None,
-        error=error,
-        error_stage=stage,
-    )

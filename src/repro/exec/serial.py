@@ -3,9 +3,9 @@
 Runs the stage function task by task in the calling process.  Strict
 mode lets the first exception propagate with its original type and
 traceback; lenient mode captures each failure in its outcome so the
-pipeline can quarantine the satellite and continue.  Every other
-executor must be observationally equivalent to this one on healthy
-fleets (the parity suite enforces it).
+pipeline can quarantine the satellite and continue.  An executor
+substituted through ``CosmicDance(executor=...)`` must be
+observationally equivalent to this one.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 per-run ledger scoping regression."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -93,13 +94,14 @@ class TestTypedDelegates:
         with pytest.raises(TypeError):
             cd.conjunctions(3.0)
 
-    def test_unknown_kwargs_warn_deprecation(self):
+    def test_unknown_kwargs_raise_type_error(self):
         cd = self.make_pipeline()
-        with pytest.warns(DeprecationWarning, match="band_exposure"):
-            with pytest.raises(TypeError):
+        # Any warning would surface as an error and fail pytest.raises.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match="bogus_knob"):
                 cd.band_exposure(bogus_knob=1)
-        with pytest.warns(DeprecationWarning, match="conjunctions"):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="bogus_knob"):
                 cd.conjunctions(bogus_knob=1)
 
     def test_typed_returns(self):

@@ -1,18 +1,10 @@
-"""Executor semantics: ordering, strictness, and pool-failure quarantine."""
-
-import os
+"""Executor semantics: ordering and strictness."""
 
 import pytest
 
 from repro.core.config import CosmicDanceConfig
 from repro.core.pipeline import process_satellite, satellite_task
-from repro.errors import ExecutionError
-from repro.exec import (
-    ParallelExecutor,
-    SatelliteOutcome,
-    SerialExecutor,
-    default_executor,
-)
+from repro.exec import SatelliteOutcome, SerialExecutor
 
 from tests.core.helpers import steady_history
 
@@ -24,7 +16,6 @@ def fleet_tasks(count=6, days=20):
     ]
 
 
-# Stage stand-ins must be module-level: the pool pickles them by reference.
 def echo_stage(task, config, *, capture=True):
     return SatelliteOutcome(
         catalog_number=task.catalog_number,
@@ -52,10 +43,6 @@ def explode_on_even(task, config, *, capture=True):
     return echo_stage(task, config)
 
 
-def kill_worker(task, config, *, capture=True):
-    os._exit(13)  # simulate a crashed worker: no exception, no result
-
-
 class TestSerialExecutor:
     def test_runs_real_stage_in_task_order(self):
         tasks = fleet_tasks()
@@ -78,78 +65,3 @@ class TestSerialExecutor:
                 explode_on_even, tasks, CosmicDanceConfig(strict=True)
             )
 
-
-class TestParallelExecutor:
-    def test_rejects_bad_sizing(self):
-        with pytest.raises(ExecutionError):
-            ParallelExecutor(0)
-        with pytest.raises(ExecutionError):
-            ParallelExecutor(2, chunks_per_worker=0)
-
-    def test_empty_fleet(self):
-        assert ParallelExecutor(2).run_fleet(echo_stage, [], CosmicDanceConfig()) == []
-
-    def test_results_in_task_order(self):
-        tasks = fleet_tasks(9)
-        outcomes = ParallelExecutor(3).run_fleet(
-            process_satellite, tasks, CosmicDanceConfig()
-        )
-        assert [o.catalog_number for o in outcomes] == [
-            t.catalog_number for t in tasks
-        ]
-
-    def test_matches_serial_outcomes(self):
-        tasks = fleet_tasks(6)
-        config = CosmicDanceConfig()
-        serial = SerialExecutor().run_fleet(process_satellite, tasks, config)
-        parallel = ParallelExecutor(2).run_fleet(process_satellite, tasks, config)
-        assert serial == parallel
-
-    def test_stage_failures_quarantine_not_abort(self):
-        tasks = fleet_tasks(6)
-        outcomes = ParallelExecutor(2).run_fleet(
-            explode_on_even, tasks, CosmicDanceConfig()
-        )
-        failed = [o.catalog_number for o in outcomes if not o.ok]
-        assert failed == [2, 4, 6]
-        assert outcomes[1].error == "ValueError: boom 2"
-
-    def test_strict_reraises_original_exception_type(self):
-        tasks = fleet_tasks(4)
-        with pytest.raises(ValueError, match="boom"):
-            ParallelExecutor(2).run_fleet(
-                explode_on_even, tasks, CosmicDanceConfig(strict=True)
-            )
-
-    def test_dead_worker_quarantines_chunk(self):
-        # A worker that dies without raising loses its whole chunk; the
-        # fleet must absorb that as executor-stage failures, not abort.
-        tasks = fleet_tasks(4)
-        executor = ParallelExecutor(2, chunks_per_worker=1, mp_context="fork")
-        outcomes = executor.run_fleet(kill_worker, tasks, CosmicDanceConfig())
-        assert [o.catalog_number for o in outcomes] == [1, 2, 3, 4]
-        assert all(not o.ok for o in outcomes)
-        assert all(o.error_stage == "executor" for o in outcomes)
-
-    def test_dead_worker_strict_raises(self):
-        tasks = fleet_tasks(4)
-        executor = ParallelExecutor(2, chunks_per_worker=1, mp_context="fork")
-        with pytest.raises(Exception):
-            executor.run_fleet(kill_worker, tasks, CosmicDanceConfig(strict=True))
-
-
-class TestDefaultExecutor:
-    def test_serial_below_two_workers(self):
-        assert default_executor(CosmicDanceConfig()).name == "serial"
-        assert default_executor(CosmicDanceConfig(workers=1)).name == "serial"
-
-    def test_parallel_from_two_workers(self):
-        executor = default_executor(CosmicDanceConfig(workers=3))
-        assert executor.name == "parallel"
-        assert executor.workers == 3
-
-    def test_negative_workers_rejected_by_config(self):
-        from repro.errors import PipelineError
-
-        with pytest.raises(PipelineError):
-            CosmicDanceConfig(workers=-1)

@@ -42,12 +42,20 @@ class TestConfigDigest:
         )
 
     def test_execution_fields_do_not(self):
-        # Switching executors or toggling strictness must not invalidate
+        # Toggling strictness, caching or tracing must not invalidate
         # cached outcomes — they cannot change what a satellite computes.
         base = config_digest(CosmicDanceConfig())
-        assert base == config_digest(CosmicDanceConfig(workers=8))
+        assert base == config_digest(CosmicDanceConfig(trace=True))
         assert base == config_digest(CosmicDanceConfig(strict=True))
         assert base == config_digest(CosmicDanceConfig(cache_stages=False))
+
+    def test_default_digest_is_pinned(self):
+        # Persisted stage_cache/ keys embed this digest: a change here
+        # cold-starts every existing cache directory, so it must be a
+        # deliberate one.
+        assert config_digest(CosmicDanceConfig()) == (
+            "4614e9fc064c7713f2862ffd6c14ae559a881e2bd8457f81a2bfa6cb0db85cf5"
+        )
 
 
 class TestStageMemo:

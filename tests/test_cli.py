@@ -114,24 +114,6 @@ class TestAnalyzeCommand:
 
 
 class TestExecutionFlags:
-    def test_analyze_with_workers(self, cache, capsys):
-        assert main(["analyze", "--cache", str(cache), "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "Storm episodes" in out
-        assert "44800" in out
-
-    def test_workers_output_matches_serial(self, cache, capsys):
-        assert main(["analyze", "--cache", str(cache), "--no-stage-cache"]) == 0
-        serial_out = capsys.readouterr().out
-        assert (
-            main(
-                ["analyze", "--cache", str(cache), "--no-stage-cache",
-                 "--workers", "2"]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == serial_out
-
     def test_stage_cache_persists_between_invocations(self, cache, capsys):
         assert main(["analyze", "--cache", str(cache)]) == 0
         first = capsys.readouterr().out

@@ -92,3 +92,14 @@ def test_facade_options_are_keyword_only(name):
 def test_facades_are_reexported_identically():
     for name in FACADES:
         assert getattr(repro, name) is getattr(repro.api, name)
+
+
+def test_package_version_matches_pyproject():
+    # One version number: pyproject.toml's [project] version is what
+    # packaging reports, and the stability policy bumps
+    # repro.__version__ — they must never drift apart.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["version"] == repro.__version__
