@@ -56,6 +56,54 @@ class Association:
     lag_hours: float
 
 
+#: Upper bound on the elements of one block of trailing windows in
+#: :func:`trailing_median` (2 MB of float64), whatever the history length.
+_WINDOW_BLOCK_ELEMENTS = 1 << 18
+
+
+def trailing_median(
+    times: np.ndarray, values: np.ndarray, window_s: float
+) -> np.ndarray:
+    """Median of *values* over each trailing window ``[t - window_s, t]``.
+
+    Index ``i`` covers ``values[lo:i + 1]`` with ``lo`` the first index
+    whose time is not before ``times[i] - window_s`` (``searchsorted``,
+    ``side="left"``), and equals ``np.median`` of that slice exactly: a
+    window holding a NaN gives NaN.  Windows are padded to a common
+    width, sorted and indexed in blocks of rows of at most
+    :data:`_WINDOW_BLOCK_ELEMENTS` elements each.
+    """
+    n = len(values)
+    out = np.empty(n, dtype=np.float64)
+    if n == 0:
+        return out
+    rows = np.arange(n)
+    lo = np.searchsorted(times, times - window_s, side="left")
+    sizes = rows + 1 - lo
+    nan_before = np.concatenate(([0], np.cumsum(np.isnan(values))))
+    has_nan = nan_before[rows + 1] > nan_before[lo]
+    width = int(sizes.max())
+    block = max(1, _WINDOW_BLOCK_ELEMENTS // width)
+    offsets = np.arange(width)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        index = lo[start:stop, None] + offsets
+        # Padding past the row's own index sorts after every real value.
+        windows = np.where(
+            index <= rows[start:stop, None],
+            values[np.minimum(index, n - 1)],
+            np.inf,
+        )
+        windows.sort(axis=1)
+        size = sizes[start:stop]
+        block_rows = np.arange(stop - start)
+        lower = windows[block_rows, (size - 1) // 2]
+        upper = windows[block_rows, size // 2]
+        out[start:stop] = np.where(size % 2, upper, (lower + upper) / 2.0)
+    out[has_nan] = np.nan
+    return out
+
+
 def detect_drag_spikes(
     cleaned: CleanedHistory,
     config: CosmicDanceConfig | None = None,
@@ -64,7 +112,9 @@ def detect_drag_spikes(
 
     The baseline is a trailing median over ``drag_baseline_days``; a
     spike event is emitted at the first record of each excursion run
-    exceeding ``drag_spike_factor`` times the baseline.
+    exceeding ``drag_spike_factor`` times the baseline.  Records with a
+    non-positive baseline neither start nor end a run; a NaN baseline
+    ends one.
     """
     config = config or CosmicDanceConfig()
     elements = cleaned.elements
@@ -72,31 +122,21 @@ def detect_drag_spikes(
         return []
     times = np.array([e.epoch.unix for e in elements])
     bstars = np.array([e.bstar for e in elements])
-    window_s = config.drag_baseline_days * 86400.0
+    baseline = trailing_median(times, bstars, config.drag_baseline_days * 86400.0)
 
-    events: list[TrajectoryEvent] = []
-    in_spike = False
-    for i in range(len(elements)):
-        lo = int(np.searchsorted(times, times[i] - window_s, side="left"))
-        baseline_window = bstars[lo : i + 1]
-        baseline = float(np.median(baseline_window))
-        if baseline <= 0:
-            continue
-        ratio = bstars[i] / baseline
-        if ratio >= config.drag_spike_factor:
-            if not in_spike:
-                events.append(
-                    TrajectoryEvent(
-                        catalog_number=cleaned.catalog_number,
-                        kind=TrajectoryEventKind.DRAG_SPIKE,
-                        epoch=elements[i].epoch,
-                        magnitude=float(ratio),
-                    )
-                )
-                in_spike = True
-        else:
-            in_spike = False
-    return events
+    counted = np.flatnonzero(~(baseline <= 0))
+    ratios = bstars[counted] / baseline[counted]
+    over = ratios >= config.drag_spike_factor
+    starts = over & ~np.concatenate(([False], over[:-1]))
+    return [
+        TrajectoryEvent(
+            catalog_number=cleaned.catalog_number,
+            kind=TrajectoryEventKind.DRAG_SPIKE,
+            epoch=elements[i].epoch,
+            magnitude=float(ratio),
+        )
+        for i, ratio in zip(counted[starts].tolist(), ratios[starts].tolist())
+    ]
 
 
 def detect_decay_onsets(

@@ -2,10 +2,9 @@
 
 The pipeline's fleet stage is already memoized per satellite (StageMemo
 under (history digest, config digest)), so a warm re-run only *computes*
-dirty satellites — but it still *hashes* every history on every run,
-which is the dominant warm-path cost once fleets grow.  The
-:class:`DeltaPlanner` removes that: it is a digest cache keyed by
-``(catalog_number, record_count)``, valid because
+dirty satellites — but it still *hashes* every history on every run.
+The :class:`DeltaPlanner` skips that for unchanged histories: it is a
+digest cache keyed by ``(catalog_number, record_count)``, valid because
 :meth:`~repro.tle.catalog.SatelliteHistory.add` dedups by epoch and
 never mutates records — a history only ever *grows*, so an unchanged
 record count means unchanged content.
@@ -100,8 +99,8 @@ class DeltaPlanner:
 
         Drop-in ``task_factory`` for :class:`~repro.core.pipeline.
         CosmicDance`: unchanged histories skip the SHA-256 over their
-        full record text, so warm-path hashing cost scales with the
-        delta instead of the history.
+        packed columns, so warm-path hashing cost scales with the delta
+        instead of the history.
         """
         number = history.catalog_number
         count = len(history)

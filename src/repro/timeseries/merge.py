@@ -47,15 +47,19 @@ def align_to(
 def merge_series(a: TimeSeries, b: TimeSeries) -> TimeSeries:
     """Union-merge two series; where both have a sample, *b* wins.
 
-    Used to splice incrementally fetched TLE history onto a cached
-    series (the paper's incremental-ingest behaviour).
+    Used to splice incrementally fetched history onto a cached series
+    (the paper's incremental-ingest behaviour).  The common case — *b*
+    starts after *a* ends, as each new Dst chunk does — is a plain
+    concatenation.
     """
-    combined: dict[float, float] = dict(zip(a.times.tolist(), a.values.tolist()))
-    combined.update(zip(b.times.tolist(), b.values.tolist()))
-    if not combined:
-        return TimeSeries.empty()
-    times = np.array(sorted(combined), dtype=np.float64)
-    values = np.array([combined[t] for t in times], dtype=np.float64)
+    if not len(a) or not len(b) or b.times[0] > a.times[-1]:
+        return TimeSeries(
+            np.concatenate((a.times, b.times)), np.concatenate((a.values, b.values))
+        )
+    times = np.union1d(a.times, b.times)
+    values = np.empty_like(times)
+    values[np.searchsorted(times, a.times)] = a.values
+    values[np.searchsorted(times, b.times)] = b.values
     return TimeSeries(times, values)
 
 

@@ -8,7 +8,7 @@ quantities the paper analyzes (altitude from mean motion, period).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.errors import TLEFieldError
 from repro.orbits.conversions import (
@@ -55,6 +55,13 @@ class MeanElements:
     rev_number: int = 0
     #: Ephemeris type column (0 for distributed TLEs).
     ephemeris_type: int = 0
+    #: The generated ``repr`` text, filled on the first ``repr``.  A
+    #: record is shared by its history, the fleet tasks, memo outcomes
+    #: and cleaned histories, so its text is built once per process
+    #: however often results are digested.
+    _repr_text: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.catalog_number < 0:
@@ -109,3 +116,17 @@ class MeanElements:
     def with_bstar(self, bstar: float) -> "MeanElements":
         """Copy with a different B* drag term."""
         return replace(self, bstar=bstar)
+
+
+_generated_repr = MeanElements.__repr__
+
+
+def _cached_repr(self: MeanElements) -> str:
+    text = self._repr_text
+    if text is None:
+        text = _generated_repr(self)
+        object.__setattr__(self, "_repr_text", text)
+    return text
+
+
+MeanElements.__repr__ = _cached_repr  # type: ignore[method-assign]

@@ -1,18 +1,23 @@
 """Digest and stage-memoization tests, including the persistence tier."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
+from repro import analyze
 from repro.core.config import CosmicDanceConfig
 from repro.core.pipeline import process_satellite, satellite_task
 from repro.exec import (
     StageMemo,
     cache_key,
     config_digest,
+    digests,
     history_digest,
+    result_digest,
 )
 from repro.io.store import DataStore
+from repro.simulation.scenario import quickstart_scenario
+from repro.tle.elements import MeanElements
 
 from tests.core.helpers import record, steady_history
 
@@ -33,6 +38,54 @@ class TestHistoryDigest:
     def test_order_sensitive(self):
         base = tuple(steady_history(catalog=5, days=10))
         assert history_digest(base) != history_digest(tuple(reversed(base)))
+
+    def test_sub_second_epoch_shift_changes_digest(self):
+        # Epoch reprs round to the second, TLE epochs resolve to ~1 ms:
+        # histories a 0.3 s shift apart must not share a memo entry.
+        base = tuple(steady_history(catalog=5, days=10))
+        last = base[-1]
+        shifted = base[:-1] + (last.with_epoch(last.epoch.add_seconds(0.3)),)
+        assert repr(shifted) == repr(base)
+        assert history_digest(shifted) != history_digest(base)
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(MeanElements) if f.init]
+    )
+    def test_every_field_changes_digest(self, name):
+        base = tuple(steady_history(catalog=5, days=3))
+        value = getattr(base[-1], name)
+        if isinstance(value, str):
+            changed = value + "X"
+        elif isinstance(value, int):
+            changed = value + 1
+        elif isinstance(value, float):
+            changed = value / 2 + 0.25
+        else:
+            changed = value.add_seconds(0.3)
+        altered = base[:-1] + (replace(base[-1], **{name: changed}),)
+        assert history_digest(altered) != history_digest(base)
+
+    def test_covers_all_sixteen_fields(self):
+        assert len([f for f in fields(MeanElements) if f.init]) == 16
+
+    def test_string_fields_are_framed(self):
+        a, b = record(5, 0.0, 550.0), record(5, 1.0, 550.0)
+        pairs = [
+            ((a, "19074AB"), (b, "")),
+            ((a, "19074A"), (b, "B")),
+        ]
+        assert len({
+            history_digest([replace(e, intl_designator=d) for e, d in pair])
+            for pair in pairs
+        }) == 2
+        moved = [
+            replace(a, classification="U", intl_designator="C19074A"),
+            replace(a, classification="UC", intl_designator="19074A"),
+        ]
+        assert history_digest(moved[:1]) != history_digest(moved[1:])
+
+    def test_empty_history(self):
+        assert history_digest([]) == history_digest(())
 
 
 class TestConfigDigest:
@@ -113,6 +166,24 @@ class TestStageMemo:
         assert memo.get(task.digest, cfg) is None
         assert len(fresh_store.ledger) == 1
         assert not entry.exists()  # quarantined aside, not left to re-fail
+
+    def test_kernel_version_bump_misses_persisted_entries(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = quickstart_scenario()
+
+        def run():
+            memo = StageMemo(DataStore(tmp_path))
+            return analyze(scenario.dst, scenario.catalog, memo=memo)
+
+        cold = run()
+        assert cold.health.cache_misses > 0
+        assert run().health.cache_misses == 0
+        monkeypatch.setattr(digests, "KERNEL_VERSION", digests.KERNEL_VERSION + 1)
+        bumped = run()
+        assert bumped.health.cache_hits == 0
+        assert bumped.health.cache_misses == cold.health.cache_misses
+        assert result_digest(bumped) == result_digest(cold)
 
     def test_clear_drops_memory_not_store(self, tmp_path):
         task, outcome = self.outcome()
