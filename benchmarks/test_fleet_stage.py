@@ -13,6 +13,7 @@ import gc
 import json
 import os
 import pathlib
+import statistics
 import time
 
 from repro import CosmicDance, CosmicDanceConfig
@@ -23,6 +24,10 @@ from repro.simulation import paper_scenario
 
 BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_fleet.json"
 TRACE_BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_trace.json"
+
+#: Traced/untraced pairs behind the overhead gate's median (odd, so the
+#: median is one pair's ratio).
+PAIRS = 9
 
 
 def fleet_tasks(total_satellites=96, seed=0):
@@ -97,8 +102,10 @@ def test_traced_fleet_overhead(emit):
 
     One span per satellite is the entire per-record cost, so anything
     above noise level here means an accidental hot-path allocation
-    crept into the tracer.  Both sides are min-of-5 serial runs, taken
-    alternately so a drift in host speed hits both sides alike.
+    crept into the tracer.  The gate reads the median of per-pair
+    traced/untraced ratios: the two runs of a pair are back to back, so
+    a drift in host speed hits both alike, and which side runs first
+    alternates, so neither side always runs on the warmer cache.
     """
     tasks, _ = fleet_tasks()
     config = CosmicDanceConfig()
@@ -119,19 +126,25 @@ def test_traced_fleet_overhead(emit):
         executor.run_fleet(process_satellite, tasks, config, tracer=tracer)
         return time.perf_counter() - started
 
-    untraced_s = traced_s = float("inf")
-    for _ in range(5):
-        untraced_s = min(untraced_s, timed_run(None))
-        traced_s = min(traced_s, timed_run(Tracer()))
-
-    overhead = traced_s / untraced_s - 1.0 if untraced_s else 0.0
+    untraced_times, traced_times = [], []
+    for pair in range(PAIRS):
+        if pair % 2:
+            traced_times.append(timed_run(Tracer()))
+            untraced_times.append(timed_run(None))
+        else:
+            untraced_times.append(timed_run(None))
+            traced_times.append(timed_run(Tracer()))
+    ratios = sorted(t / u for t, u in zip(traced_times, untraced_times))
+    overhead = statistics.median(ratios) - 1.0
     TRACE_BENCH_PATH.write_text(
         json.dumps(
             {
                 "cpu_count": os.cpu_count(),
                 "satellites": len(tasks),
-                "fleet_untraced_s": round(untraced_s, 4),
-                "fleet_traced_s": round(traced_s, 4),
+                "pairs": PAIRS,
+                "fleet_untraced_median_s": round(statistics.median(untraced_times), 4),
+                "fleet_traced_median_s": round(statistics.median(traced_times), 4),
+                "pair_overhead_pct": [round(100.0 * (r - 1.0), 2) for r in ratios],
                 "overhead_pct": round(100.0 * overhead, 2),
             },
             indent=2,
@@ -142,10 +155,12 @@ def test_traced_fleet_overhead(emit):
         "traced_fleet_overhead",
         "\n".join(
             [
-                f"fleet stage, {len(tasks)} satellites, serial:",
-                f"  untraced          {untraced_s:8.3f} s",
-                f"  traced            {traced_s:8.3f} s   "
-                f"overhead {100.0 * overhead:+.2f}%",
+                f"fleet stage, {len(tasks)} satellites, serial, {PAIRS} pairs:",
+                f"  untraced median   {statistics.median(untraced_times):8.3f} s",
+                f"  traced median     {statistics.median(traced_times):8.3f} s",
+                f"  median pair overhead {100.0 * overhead:+.2f}% "
+                f"(pairs {100.0 * (ratios[0] - 1.0):+.2f}% .. "
+                f"{100.0 * (ratios[-1] - 1.0):+.2f}%)",
             ]
         ),
     )

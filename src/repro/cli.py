@@ -160,18 +160,25 @@ def _hydrate(
             # Warm the stage cache from (and write back through) the
             # same store, so repeated CLI runs skip clean satellites.
             pipeline.memo.store = store
-        dst = store.load_dst()
-        if dst is not None:
-            pipeline.ingest.add_dst(dst)
-            loaded_dst = True
-        catalog = store.load_catalog()
-        if catalog is not None:
-            pipeline.ingest.add_elements(catalog.all_elements())
+        with pipeline.tracer.span("ingest:dst"):
+            dst = store.load_dst()
+            if dst is not None:
+                pipeline.ingest.add_dst(dst)
+                loaded_dst = True
+        with pipeline.tracer.span("ingest:parse"):
+            catalog = store.load_catalog()
+            if catalog is not None:
+                pipeline.ingest.add_elements(catalog.all_elements())
     if getattr(args, "dst", None):
-        pipeline.ingest.add_dst(_load_dst(args.dst))
+        with pipeline.tracer.span("ingest:dst"):
+            pipeline.ingest.add_dst(_load_dst(args.dst))
         loaded_dst = True
-    for tle_path in args.tles:
-        pipeline.ingest.add_tle_text(tle_path.read_text(), source=tle_path.name)
+    if args.tles:
+        with pipeline.tracer.span("ingest:parse"):
+            for tle_path in args.tles:
+                pipeline.ingest.add_tle_text(
+                    tle_path.read_text(), source=tle_path.name
+                )
     if not loaded_dst and not len(pipeline.ingest.catalog):
         raise ReproError("no data: pass --dst/--tles or --cache")
     return store

@@ -149,6 +149,11 @@ def cache_key(history_digest_hex: str, config_digest_hex: str) -> str:
 
     128 bits of history digest + 64 of config digest — far beyond
     collision risk for any real constellation, short enough for a
-    file name — plus :data:`KERNEL_VERSION`.
+    file name — plus :func:`kernel_suffix`.
     """
-    return f"{history_digest_hex[:32]}-{config_digest_hex[:16]}-k{KERNEL_VERSION}"
+    return f"{history_digest_hex[:32]}-{config_digest_hex[:16]}{kernel_suffix()}"
+
+
+def kernel_suffix() -> str:
+    """The ending every current :func:`cache_key` has, ``-k<version>``."""
+    return f"-k{KERNEL_VERSION}"

@@ -19,17 +19,20 @@ changed records) recompute.
 
 Failed outcomes are never cached (transient faults must retry), and a
 corrupt or stale persistent entry degrades to a cache miss — it is
-quarantined through the store's ledger, never raised.
+quarantined through the store's ledger, never raised.  Entries written
+under another :data:`~repro.exec.digests.KERNEL_VERSION` can never be
+read again; a memo's first ``put`` into a store deletes them.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.exec.base import SatelliteOutcome
 from repro.exec.codec import decode_outcome, encode_outcome
-from repro.exec.digests import cache_key
+from repro.exec.digests import cache_key, kernel_suffix
 
 if TYPE_CHECKING:
     from repro.io.store import DataStore
@@ -53,6 +56,9 @@ class StageMemo:
         #: tracing).  Counters: ``memo.hits`` / ``memo.misses`` /
         #: ``memo.persistent_hits`` / ``memo.puts``.
         self.metrics: "MetricsRegistry | None" = None
+        #: (store root, kernel suffix) pairs already pruned of entries
+        #: no current key can name.
+        self._pruned: set[tuple[str, str]] = set()
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -105,7 +111,17 @@ class StageMemo:
         if self.metrics is not None:
             self.metrics.counter("memo.puts").inc()
         if self.store is not None:
+            self._prune_once(self.store)
             self.store.save_stage_outcome(cache_key(*key), encode_outcome(outcome))
+
+    def _prune_once(self, store: "DataStore") -> None:
+        """Delete the store's entries of other kernel versions the first
+        time this memo writes to it (a CLI run has one memo, so once per
+        process)."""
+        key = (os.fspath(store.root), kernel_suffix())
+        if key not in self._pruned:
+            self._pruned.add(key)
+            store.prune_stage_cache(keep_suffix=key[1])
 
     def clear(self) -> None:
         """Drop the in-memory tier (persistent entries survive)."""

@@ -329,6 +329,22 @@ class DataStore:
             self._quarantine_file(path)
             return None
 
+    def prune_stage_cache(self, *, keep_suffix: str) -> int:
+        """Delete every stage-cache entry whose key does not end with
+        *keep_suffix*; returns how many went.  Best effort: an entry
+        that cannot be deleted stays."""
+        if not self._stage_cache_dir.is_dir():
+            return 0
+        removed = 0
+        for path in self._stage_cache_dir.glob("*.json"):
+            if not path.stem.endswith(keep_suffix):
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                removed += 1
+        return removed
+
     def discard_stage_outcome(self, key: str, reason: str) -> None:
         """Quarantine one stage-cache entry (corrupt or stale)."""
         path = self._stage_cache_dir / f"{key}.json"
@@ -444,6 +460,5 @@ class DataStore:
                 )
                 continue
             if history is not None:
-                for elements in history:
-                    catalog.add(elements)
+                catalog.adopt(history)
         return catalog

@@ -15,9 +15,19 @@ import numpy as np
 from repro.errors import SpaceWeatherError
 from repro.spaceweather.scales import StormLevel, classify_dst
 from repro.time import Epoch
-from repro.timeseries import TimeSeries
+from repro.timeseries import TimeSeries, merge_series
 
 HOUR_S = 3600.0
+
+
+def _check_hourly_steps(steps: np.ndarray | np.float64) -> None:
+    """Raise unless every step (an array, or one numpy scalar) is a
+    whole number of hours."""
+    remainder = steps % HOUR_S
+    # Modular closeness: dust can land just below the hour too.
+    on_grid = (remainder < 1.0) | (remainder > HOUR_S - 1.0)
+    if not on_grid.all():
+        raise SpaceWeatherError("Dst samples must be on an hourly grid")
 
 
 class DstIndex:
@@ -32,12 +42,7 @@ class DstIndex:
         allowed; NaN samples mark missing hours).
         """
         if len(series) > 1:
-            steps = np.diff(series.times)
-            remainder = steps % HOUR_S
-            # Modular closeness: dust can land just below the hour too.
-            on_grid = (remainder < 1.0) | (remainder > HOUR_S - 1.0)
-            if not on_grid.all():
-                raise SpaceWeatherError("Dst samples must be on an hourly grid")
+            _check_hourly_steps(np.diff(series.times))
         self._series = series
 
     @classmethod
@@ -76,10 +81,20 @@ class DstIndex:
         return DstIndex(self._series.slice(start, end))
 
     def merge(self, other: "DstIndex") -> "DstIndex":
-        """Splice another Dst block in (other wins on overlap)."""
-        from repro.timeseries import merge_series
+        """Splice another Dst block in (other wins on overlap).
 
-        return DstIndex(merge_series(self._series, other._series))
+        Both sides are already on the grid, so when *other* starts after
+        this index ends (an append) only the step joining them is
+        checked; a backfill or overlap checks the whole union.
+        """
+        a, b = self._series, other._series
+        if len(a) and len(b):
+            if b.times[0] <= a.times[-1]:
+                return DstIndex(merge_series(a, b))
+            _check_hourly_steps(b.times[0] - a.times[-1])
+        index = DstIndex.__new__(DstIndex)
+        index._series = merge_series(a, b)
+        return index
 
     # --- the paper's statistics --------------------------------------------
     def min_nt(self) -> float:

@@ -23,6 +23,12 @@ _ISO_RE = re.compile(
 )
 
 
+def tle_full_year(two_digit_year: int) -> int:
+    """The calendar year of a TLE epoch year: 57-99 → 1957-1999,
+    00-56 → 2000-2056."""
+    return 1900 + two_digit_year if two_digit_year >= 57 else 2000 + two_digit_year
+
+
 @functools.total_ordering
 @dataclass(frozen=True, slots=True)
 class Epoch:
@@ -71,7 +77,7 @@ class Epoch:
         """
         if not 0 <= two_digit_year <= 99:
             raise TimeError(f"TLE year out of range: {two_digit_year}")
-        year = 1900 + two_digit_year if two_digit_year >= 57 else 2000 + two_digit_year
+        year = tle_full_year(two_digit_year)
         if not 1.0 <= day_of_year < julian.days_in_year(year) + 1:
             raise TimeError(f"TLE day of year out of range: {day_of_year} in {year}")
         jd_jan1 = julian.calendar_to_jd(year, 1, 1)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.constants import JD_J2000, JD_UNIX_EPOCH, JULIAN_CENTURY_DAYS, SECONDS_PER_DAY, TAU
 from repro.errors import TimeError
 
@@ -62,6 +64,41 @@ def calendar_to_jd(
     jdn = day + (153 * m + 2) // 5 + 365 * y + y // 4 - y // 100 + y // 400 - 32045
     day_fraction = (hour - 12) / 24.0 + minute / 1440.0 + second / SECONDS_PER_DAY
     return jdn + day_fraction
+
+
+def calendar_to_jd_columns(
+    year: np.ndarray,
+    month: np.ndarray,
+    day: np.ndarray,
+    hour: np.ndarray,
+    minute: np.ndarray,
+    second: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`calendar_to_jd` over integer arrays.
+
+    Returns ``(jd, valid)``: ``valid`` marks the dates
+    :func:`calendar_to_jd` accepts, and ``jd`` holds, for each of them,
+    the same double it returns (the same integer steps, then the same
+    float64 operations in the same order).  ``jd`` is meaningless where
+    ``valid`` is False.
+    """
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = np.take(_DAYS_PER_MONTH, np.clip(month, 1, 12) - 1) + (
+        (month == 2) & leap
+    )
+    valid = (
+        (month >= 1) & (month <= 12)
+        & (day >= 1) & (day <= month_days)
+        & (hour >= 0) & (hour < 24)
+        & (minute >= 0) & (minute < 60)
+        & (second >= 0) & (second < 61)
+    )
+    a = (14 - month) // 12
+    y = year + 4800 - a
+    m = month + 12 * a - 3
+    jdn = day + (153 * m + 2) // 5 + 365 * y + y // 4 - y // 100 + y // 400 - 32045
+    day_fraction = (hour - 12) / 24.0 + minute / 1440.0 + second / SECONDS_PER_DAY
+    return jdn + day_fraction, valid
 
 
 def jd_to_calendar(jd: float) -> tuple[int, int, int, int, int, float]:

@@ -49,13 +49,16 @@ def merge_series(a: TimeSeries, b: TimeSeries) -> TimeSeries:
 
     Used to splice incrementally fetched history onto a cached series
     (the paper's incremental-ingest behaviour).  The common case — *b*
-    starts after *a* ends, as each new Dst chunk does — is a plain
-    concatenation.
+    starts after *a* ends, as each new Dst chunk does — is an append of
+    two valid series, so it is not re-validated, and repeated appends
+    share one growing buffer instead of copying the whole series.
     """
-    if not len(a) or not len(b) or b.times[0] > a.times[-1]:
-        return TimeSeries(
-            np.concatenate((a.times, b.times)), np.concatenate((a.values, b.values))
-        )
+    if not len(a):
+        return b
+    if not len(b):
+        return a
+    if b.times[0] > a.times[-1]:
+        return a._append(b)
     times = np.union1d(a.times, b.times)
     values = np.empty_like(times)
     values[np.searchsorted(times, a.times)] = a.values

@@ -16,10 +16,24 @@ from repro.errors import TimeSeriesError
 from repro.time import Epoch
 
 
+class _AppendBuffer:
+    """Arrays with room past their end, shared by series built by
+    appending (see :meth:`TimeSeries._append`)."""
+
+    __slots__ = ("times", "values", "extended")
+
+    def __init__(self, capacity: int) -> None:
+        self.times = np.empty(capacity, dtype=np.float64)
+        self.values = np.empty(capacity, dtype=np.float64)
+        #: Lengths some series on this buffer was already extended from
+        #: (claimed with the atomic ``dict.setdefault``).
+        self.extended: dict[int, object] = {}
+
+
 class TimeSeries:
     """An ordered, NaN-aware scalar time series."""
 
-    __slots__ = ("_times", "_values")
+    __slots__ = ("_times", "_values", "_buffer")
 
     def __init__(
         self,
@@ -34,6 +48,7 @@ class TimeSeries:
         only from internal call sites that already guarantee the
         invariants (skips validation and copying).
         """
+        self._buffer: _AppendBuffer | None = None
         if _trusted:
             self._times = times  # type: ignore[assignment]
             self._values = values  # type: ignore[assignment]
@@ -98,6 +113,35 @@ class TimeSeries:
         times.setflags(write=False)
         values.setflags(write=False)
         return cls(times, values, _trusted=True)
+
+    def _append(self, other: "TimeSeries") -> "TimeSeries":
+        """Internal: this series followed by *other*, which must start
+        after this one ends.
+
+        The result views a buffer with spare room, and appending to the
+        result writes into that room instead of copying the whole
+        series, so a series grown block by block costs amortised
+        O(block) per append.  A buffer is extended only from the end of
+        the longest series on it: appending twice to the same series
+        copies the second time, so no series ever sees its samples
+        change.
+        """
+        length, total = len(self), len(self) + len(other)
+        buffer = self._buffer
+        claim = object()
+        if (
+            buffer is None
+            or total > len(buffer.times)
+            or buffer.extended.setdefault(length, claim) is not claim
+        ):
+            buffer = _AppendBuffer(max(2 * total, 1024))
+            buffer.times[:length] = self._times
+            buffer.values[:length] = self._values
+        buffer.times[length:total] = other._times
+        buffer.values[length:total] = other._values
+        series = TimeSeries._wrap(buffer.times[:total], buffer.values[:total])
+        series._buffer = buffer
+        return series
 
     # --- basic protocol -----------------------------------------------------
     @property

@@ -173,6 +173,19 @@ class SatelliteCatalog:
             self._histories[elements.catalog_number] = history
         return history.add(elements)
 
+    def adopt(self, history: SatelliteHistory) -> None:
+        """Add every record of *history*, keeping the history object
+        itself when the catalog has none for that satellite yet (its
+        records are then not inserted one by one again)."""
+        if not len(history):
+            return
+        existing = self._histories.get(history.catalog_number)
+        if existing is None:
+            self._histories[history.catalog_number] = history
+        else:
+            for elements in history:
+                existing.add(elements)
+
     def add_many(self, elements_iter: Iterable[MeanElements]) -> int:
         """Insert many element sets; returns how many were new."""
         return sum(1 for e in elements_iter if self.add(e))

@@ -3,9 +3,18 @@ the "assumed decimal point" exponent notation.
 
 These are the low-level quirks of the 1970s-era format; keeping them in
 one module means the parser and formatter stay readable.
+
+Each bulk decoder (``checksums`` and the ``*_columns`` functions) reads
+one fixed-width field of many ASCII lines at once and returns the
+decoded values with an ``ok`` mask.  A line is ``ok`` only when its text
+has the plain shape the decoder proves equal to the scalar codec's
+result; every other line is left to the scalar codec, which gives the
+value or the error.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.errors import TLEFieldError, TLEFormatError
 
@@ -22,13 +31,8 @@ def checksum(line: str) -> int:
 
     Digits add their value; a minus sign adds 1; everything else adds 0.
     """
-    total = 0
-    for char in line[:68]:
-        if char.isdigit():
-            total += int(char)
-        elif char == "-":
-            total += 1
-    return total % 10
+    body = line[:68]
+    return (sum(map(int, filter(str.isdigit, body))) + body.count("-")) % 10
 
 
 def verify_checksum(line: str) -> bool:
@@ -139,3 +143,110 @@ def parse_assumed_point_fraction(field: str) -> float:
     if not field.isdigit():
         raise TLEFieldError(f"bad assumed-point fraction: {field!r}")
     return int(field) / 10 ** len(field)
+
+
+# --- bulk decoders over many lines at once --------------------------------
+# Each takes a field as a ``(width, N)`` uint8 array, one row per text
+# column and one column per line, so every step is a vector over lines.
+_SPACE, _PLUS, _MINUS, _DOT = (ord(c) for c in " +-.")
+
+#: What each byte adds to a checksum: digits their value, '-' one.
+_CHECKSUM_VALUES = np.zeros(256, dtype=np.uint8)
+_CHECKSUM_VALUES[ord("0") : ord("9") + 1] = np.arange(10)
+_CHECKSUM_VALUES[_MINUS] = 1
+
+#: Powers of ten as integers and as doubles (each up to 10**18 is
+#: exact in both).
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+_FLOAT_POWERS_OF_TEN = _POWERS_OF_TEN.astype(np.float64)
+
+#: ``10 ** k`` for the implied-decimal exponents -9..9, computed by
+#: Python so each factor is the one ``parse_implied_decimal`` uses.
+_EXPONENT_FACTORS = np.array([float(10**k) for k in range(-9, 10)])
+
+
+def checksums(lines: np.ndarray) -> np.ndarray:
+    """:func:`checksum` of every line of a ``(>=68, N)`` ASCII array."""
+    return np.take(_CHECKSUM_VALUES, lines[:68]).sum(axis=0, dtype=np.uint16) % 10
+
+
+def _digits(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digit values (0 where not a digit) and the digit mask."""
+    values = block - np.uint8(ord("0"))  # wraps for bytes below '0'
+    is_digit = values < 10
+    return np.where(is_digit, values, 0).astype(np.int64), is_digit
+
+
+def _spelled(digits: np.ndarray) -> np.ndarray:
+    """The integer each line's rows of digits spell, one place per row."""
+    return _POWERS_OF_TEN[len(digits) - 1 :: -1] @ digits
+
+
+def _blanks_lead(is_blank: np.ndarray) -> np.ndarray:
+    """Whether each line's blanks all come before its other bytes."""
+    return ~(is_blank[1:] & ~is_blank[:-1]).any(axis=0)
+
+
+def int_columns(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right-justified unsigned integers; an all-blank field reads 0,
+    as in the parser's integer fields."""
+    digits, is_digit = _digits(block)
+    is_blank = block == _SPACE
+    ok = (is_blank | is_digit).all(axis=0) & _blanks_lead(is_blank)
+    return _spelled(digits), ok
+
+
+def decimal_columns(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain decimals: leading blanks, an optional sign, then digits with
+    at most one ``.``.
+
+    The value is the digits' integer over a power of ten.  Both are
+    exact doubles (a field holds at most 12 digits), so the one rounded
+    division gives the double nearest the decimal, which is what
+    ``float`` returns for the same text.
+    """
+    digits, is_digit = _digits(block)
+    is_blank = block == _SPACE
+    is_dot = block == _DOT
+    is_sign = (block == _PLUS) | (block == _MINUS)
+    ok = (
+        (is_blank | is_digit | is_dot | is_sign).all(axis=0)
+        & _blanks_lead(is_blank)
+        & ~(is_sign[1:] & ~is_blank[:-1]).any(axis=0)  # sign right after blanks
+        & (is_dot.sum(axis=0) <= 1)
+        & is_digit.any(axis=0)
+    )
+    # The dot reads as a 0 digit, one place above the decimals: drop
+    # that place from the digits before it.
+    spelled = _spelled(digits)
+    has_dot = is_dot.any(axis=0)
+    decimals = np.where(has_dot, len(block) - 1 - is_dot.argmax(axis=0), 0)
+    tail = spelled % _POWERS_OF_TEN[decimals]
+    whole = np.where(has_dot, (spelled - tail) // 10 + tail, spelled)
+    number = whole / _FLOAT_POWERS_OF_TEN[decimals]
+    return np.where((block == _MINUS).any(axis=0), -number, number), ok
+
+
+def implied_decimal_columns(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """8-column assumed-decimal-point fields in the formatter's shape,
+    ``[ +-]ddddd[+-]d``, computed with the operations of
+    :func:`parse_implied_decimal`."""
+    digits, is_digit = _digits(block)
+    head, exponent_sign = block[0], block[6]
+    ok = (
+        ((head == _SPACE) | (head == _PLUS) | (head == _MINUS))
+        & is_digit[1:6].all(axis=0)
+        & ((exponent_sign == _PLUS) | (exponent_sign == _MINUS))
+        & is_digit[7]
+    )
+    mantissa = _spelled(digits[1:6]) / 100000
+    sign = np.where(head == _MINUS, -1.0, 1.0)
+    exponent = np.where(exponent_sign == _MINUS, -digits[7], digits[7])
+    return sign * mantissa * _EXPONENT_FACTORS[exponent + 9], ok
+
+
+def catalog_columns(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """5-column catalog numbers written in digits; an alpha-5 letter
+    (a catalog number above 99999) is left to :func:`decode_alpha5`."""
+    numbers, ok = int_columns(block)
+    return numbers, ok & (block[-1] != _SPACE)  # a blank field is an error

@@ -185,6 +185,41 @@ class TestStageMemo:
         assert bumped.health.cache_misses == cold.health.cache_misses
         assert result_digest(bumped) == result_digest(cold)
 
+    def test_first_put_prunes_entries_of_other_kernel_versions(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = quickstart_scenario()
+        stage_cache = tmp_path / "stage_cache"
+
+        def run():
+            memo = StageMemo(DataStore(tmp_path))
+            return analyze(scenario.dst, scenario.catalog, memo=memo)
+
+        run()
+        old = sorted(stage_cache.glob("*.json"))
+        assert old and all(p.stem.endswith(digests.kernel_suffix()) for p in old)
+        unversioned = stage_cache / f"{'0' * 32}-{'0' * 16}.json"
+        unversioned.write_text("{}")
+        bystander = stage_cache / "notes.txt"
+        bystander.write_text("kept")
+        monkeypatch.setattr(digests, "KERNEL_VERSION", digests.KERNEL_VERSION + 1)
+        bumped = run()
+        assert bumped.health.cache_misses == len(old)
+        new = sorted(stage_cache.glob("*.json"))
+        assert len(new) == len(old)
+        assert all(p.stem.endswith(digests.kernel_suffix()) for p in new)
+        assert not any(p.exists() for p in old) and not unversioned.exists()
+        assert bystander.read_text() == "kept"
+        assert not (tmp_path / "quarantine").exists()  # deleted, not quarantined
+
+    def test_prune_keeps_current_entries(self, tmp_path):
+        task, outcome = self.outcome()
+        cfg = config_digest(CosmicDanceConfig())
+        store = DataStore(tmp_path)
+        StageMemo(store).put(task.digest, cfg, outcome)
+        assert store.prune_stage_cache(keep_suffix=digests.kernel_suffix()) == 0
+        assert StageMemo(store).get(task.digest, cfg) is not None
+
     def test_clear_drops_memory_not_store(self, tmp_path):
         task, outcome = self.outcome()
         cfg = config_digest(CosmicDanceConfig())

@@ -7,6 +7,7 @@ from repro.io import DataStore
 from repro.spaceweather import DstIndex
 from repro.time import Epoch
 from repro.tle import SatelliteCatalog
+from repro.tle.catalog import SatelliteHistory
 
 from tests.core.helpers import record
 
@@ -82,6 +83,26 @@ class TestHistoryCache:
         store.save_catalog(catalog)
         back = store.load_catalog()
         assert back is not None
+        assert back.catalog_numbers == [44713, 44714]
+        assert back.total_records() == 10
+
+    def test_load_catalog_inserts_each_record_once(self, store, monkeypatch):
+        store.save_catalog(small_catalog())
+        calls = []
+        original = SatelliteHistory.add
+
+        def counting_add(history, elements):
+            calls.append(elements)
+            return original(history, elements)
+
+        monkeypatch.setattr(SatelliteHistory, "add", counting_add)
+        back = store.load_catalog()
+        assert back.total_records() == len(calls) == 10
+
+    def test_load_catalog_merges_repeated_numbers(self, store):
+        store.save_catalog(small_catalog())
+        (store.root / "catalog_numbers.txt").write_text("44713\n44714\n44713\n")
+        back = store.load_catalog()
         assert back.catalog_numbers == [44713, 44714]
         assert back.total_records() == 10
 

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import hashlib
+import io
+from typing import Iterable, TextIO
 
 import numpy as np
 
 from repro.core.cleaning import CleanedHistory
 from repro.core.config import CosmicDanceConfig
 from repro.core.relations import TrajectoryEvent, TrajectoryEventKind
+from repro.errors import ReproError, TimeSeriesError
+from repro.time import Epoch
 from repro.timeseries import TimeSeries
+from repro.tle.parse import ParseReport, parse_tle
 
 
 def trailing_median(
@@ -88,3 +93,87 @@ def merge_series(a: TimeSeries, b: TimeSeries) -> TimeSeries:
     times = np.array(sorted(combined), dtype=np.float64)
     values = np.array([combined[t] for t in times], dtype=np.float64)
     return TimeSeries(times, values)
+
+
+def checksum(line: str) -> int:
+    """The per-character checksum loop."""
+    total = 0
+    for char in line[:68]:
+        if char.isdigit():
+            total += int(char)
+        elif char == "-":
+            total += 1
+    return total % 10
+
+
+def parse_tle_file(lines: Iterable[str], *, verify: bool = True) -> ParseReport:
+    """The per-record lenient parse: every pair through ``parse_tle``."""
+    report = ParseReport()
+    pending: tuple[int, str] | None = None
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        lead = line[0]
+        if lead == "1" and len(line.strip()) > 24:
+            if pending is not None:
+                report.errors.append(
+                    (
+                        pending[0],
+                        "line 1 without matching line 2 "
+                        f"(displaced by line 1 at line {line_number})",
+                    )
+                )
+                report.errors.append(
+                    (
+                        line_number,
+                        "line 1 discarded: follows unpaired line 1 "
+                        f"at line {pending[0]}",
+                    )
+                )
+                pending = None
+                continue
+            pending = (line_number, line)
+        elif lead == "2" and len(line.strip()) > 24:
+            if pending is None:
+                report.errors.append((line_number, "line 2 without preceding line 1"))
+                continue
+            try:
+                report.elements.append(parse_tle(pending[1], line, verify=verify))
+            except ReproError as exc:
+                report.errors.append((pending[0], str(exc)))
+            pending = None
+        else:
+            continue
+    if pending is not None:
+        report.errors.append((pending[0], "line 1 without matching line 2"))
+    return report
+
+
+def read_series_csv(source: TextIO | str) -> TimeSeries:
+    """The row-by-row series CSV reader: ``Epoch.from_iso`` per stamp."""
+    stream = io.StringIO(source) if isinstance(source, str) else source
+    header = stream.readline()
+    if not header.startswith("timestamp,"):
+        raise TimeSeriesError(f"not a series CSV (header {header!r})")
+    times: list[float] = []
+    values: list[float] = []
+    for line_number, line in enumerate(stream, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            stamp, cell = line.split(",", 1)
+        except ValueError as exc:
+            raise TimeSeriesError(f"bad CSV row at line {line_number}: {line!r}") from exc
+        times.append(Epoch.from_iso(stamp).unix)
+        if cell == "":
+            values.append(float("nan"))
+        else:
+            try:
+                values.append(float(cell))
+            except ValueError as exc:
+                raise TimeSeriesError(
+                    f"bad value at line {line_number}: {cell!r}"
+                ) from exc
+    return TimeSeries.from_pairs(zip(times, values))

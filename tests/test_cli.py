@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,19 @@ class TestExecutionFlags:
         second = capsys.readouterr().out
         assert "0 miss(es)" in second
         assert (cache / "stage_cache").is_dir()
+
+    def test_trace_covers_ingest(self, cache, capsys):
+        assert main(["analyze", "--cache", str(cache), "--trace"]) == 0
+        events = [json.loads(line) for line in DataStore(cache).load_trace().splitlines()]
+        roots = [e["name"] for e in events if e["type"] == "span" and e["parent"] is None]
+        assert roots == ["ingest:dst", "ingest:parse", "run"]
+        assert all(
+            e["elapsed_s"] > 0.0 for e in events if e.get("name", "").startswith("ingest:")
+        )
+
+    def test_untraced_run_writes_no_trace(self, cache, capsys):
+        assert main(["analyze", "--cache", str(cache)]) == 0
+        assert not (cache / "obs").exists()
 
     def test_no_stage_cache_disables_memoization(self, cache, capsys):
         assert main(["analyze", "--cache", str(cache), "--no-stage-cache"]) == 0

@@ -102,6 +102,27 @@ class TestSatelliteCatalog:
         assert len(c) == 2
         assert c.catalog_numbers == [1, 2]
 
+    def test_adopt_keeps_the_history(self):
+        history = SatelliteHistory(1)
+        history.add(element(catalog=1, day=1))
+        c = SatelliteCatalog()
+        c.adopt(history)
+        assert c.get(1) is history
+
+    def test_adopt_merges_into_an_existing_history(self):
+        c = SatelliteCatalog()
+        c.add(element(catalog=1, day=1))
+        history = SatelliteHistory(1)
+        history.add(element(catalog=1, day=1))
+        history.add(element(catalog=1, day=2))
+        c.adopt(history)
+        assert c.get(1) is not history and len(c.get(1)) == 2
+
+    def test_adopt_ignores_an_empty_history(self):
+        c = SatelliteCatalog()
+        c.adopt(SatelliteHistory(1))
+        assert 1 not in c and len(c) == 0
+
     def test_add_many_counts_new_only(self):
         c = SatelliteCatalog()
         batch = [element(day=1), element(day=2), element(day=1)]
